@@ -40,7 +40,6 @@ mod error;
 mod graph;
 mod heap;
 mod ids;
-mod ksp;
 mod mst;
 mod oracle;
 mod paths;
@@ -57,12 +56,11 @@ pub use error::GraphError;
 pub use graph::{EdgeRef, Graph, Neighbor};
 pub use heap::IndexedQuadHeap;
 pub use ids::{EdgeId, NodeId};
-pub use ksp::k_shortest_paths;
 pub use mst::{kruskal, prim, MstResult};
 pub use oracle::LandmarkOracle;
 pub use paths::{bellman_ford, dijkstra, dijkstra_with_targets, Path, ShortestPathTree};
 pub use stats::{clustering_coefficient, graph_stats, GraphStats};
-pub use subgraph::{induced_subgraph, FilteredGraph};
+pub use subgraph::{induced_subgraph, induced_subgraph_weighted, FilteredGraph};
 pub use total::TotalCost;
 pub use traversal::{bfs_order, connected_components, dfs_order, is_connected, same_component};
 pub use tree::{Lca, RootedTree};

@@ -4,7 +4,7 @@
 //! enough residual bandwidth; [`FilteredGraph`] owns such a subgraph plus
 //! the mappings between its dense ids and the original graph's ids.
 
-use crate::{EdgeId, Graph, NodeId};
+use crate::{EdgeId, EdgeRef, Graph, NodeId};
 
 /// A subgraph together with node/edge id mappings back to its parent graph.
 #[derive(Debug, Clone)]
@@ -64,8 +64,26 @@ impl FilteredGraph {
 /// Edge weights are preserved.
 pub fn induced_subgraph(
     g: &Graph,
+    keep_node: impl FnMut(NodeId) -> bool,
+    keep_edge: impl FnMut(EdgeId) -> bool,
+) -> FilteredGraph {
+    induced_subgraph_weighted(g, keep_node, keep_edge, |e| e.weight)
+}
+
+/// [`induced_subgraph`] with each kept edge re-weighted: the subgraph edge
+/// copied from parent edge `e` gets weight `weight(e)` instead of
+/// `e.weight`. Building the re-weighted subgraph in one pass spares
+/// callers a second copy.
+///
+/// # Panics
+///
+/// Panics if `weight` returns a negative, NaN or infinite weight (the
+/// [`Graph`] invariant).
+pub fn induced_subgraph_weighted(
+    g: &Graph,
     mut keep_node: impl FnMut(NodeId) -> bool,
     mut keep_edge: impl FnMut(EdgeId) -> bool,
+    mut weight: impl FnMut(&EdgeRef) -> f64,
 ) -> FilteredGraph {
     let mut graph = Graph::new();
     let mut to_parent_node = Vec::new();
@@ -87,8 +105,8 @@ pub fn induced_subgraph(
             continue;
         };
         graph
-            .add_edge(u, v, e.weight)
-            .expect("weights already validated by the parent graph"); // lint:allow(P1): weights already validated by the parent graph
+            .add_edge(u, v, weight(e))
+            .expect("subgraph weights must be finite and non-negative"); // lint:allow(P1): documented panic on an invalid weight from the caller's closure
         to_parent_edge.push(e.id);
     }
     FilteredGraph {
@@ -150,6 +168,16 @@ mod tests {
         let f = induced_subgraph(&g, |_| true, |_| true);
         let ws: Vec<f64> = f.graph().edges().map(|e| e.weight).collect();
         assert_eq!(ws, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn weighted_variant_reweights_kept_edges_in_order() {
+        let (g, _, e) = path4();
+        let f = induced_subgraph_weighted(&g, |_| true, |id| id != e[1], |er| 10.0 * er.weight);
+        let ws: Vec<f64> = f.graph().edges().map(|er| er.weight).collect();
+        assert_eq!(ws, vec![10.0, 30.0]);
+        let parents = f.parent_edges(&f.graph().edges().map(|er| er.id).collect::<Vec<_>>());
+        assert_eq!(parents, vec![e[0], e[2]]);
     }
 
     #[test]

@@ -86,8 +86,8 @@ impl OnlineAlgorithm for EmpPricing {
         let model = ExponentialCostModel::for_network(sdn);
         let benefit = self.benefit_scale * request_revenue(sdn, request);
 
-        let (filtered, weighted) = build_admission_graph(sdn, b, CostMode::Exponential);
-        if weighted.edge_count() == 0 {
+        let gk = build_admission_graph(sdn, b, CostMode::Exponential);
+        if gk.graph().edge_count() == 0 {
             telemetry::hit(telemetry::Counter::OnlineRejectedInfeasible);
             return None;
         }
@@ -101,8 +101,7 @@ impl OnlineAlgorithm for EmpPricing {
             sigma: f64::INFINITY,
             mode: CostMode::Exponential,
             rule: ThresholdRule::PerEdge,
-            filtered: &filtered,
-            weighted: &weighted,
+            gk: &gk,
         };
 
         let mut candidates: Vec<Candidate> = Vec::new();

@@ -21,7 +21,7 @@
 //! [`ShortestPathBaseline`]: crate::ShortestPathBaseline
 
 use crate::OnlineAlgorithm;
-use netgraph::{dijkstra_with_targets, induced_subgraph, EdgeId};
+use netgraph::{dijkstra_with_targets, induced_subgraph_weighted, EdgeId};
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
 use sdn::{MulticastRequest, Sdn};
 
@@ -73,21 +73,17 @@ impl OnlineAlgorithm for LsChainAdmission {
 
         // Length classes are measured on the residual-feasible alive
         // subgraph with uniform weights, so "hops" means hops.
-        let filtered = induced_subgraph(
+        let filtered = induced_subgraph_weighted(
             sdn.graph(),
             |_| true,
             |e| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b,
+            |_| 1.0,
         );
-        let g = filtered.graph();
-        let mut uniform = netgraph::Graph::with_nodes(g.node_count());
-        for e in g.edges() {
-            // Copies an edge the parent graph already validated.
-            uniform.add_edge(e.u, e.v, 1.0).ok()?;
-        }
+        let uniform = filtered.graph();
 
         let mut best: Option<(f64, PseudoMulticastTree)> = None;
         let mut bound_blocked = false;
-        let spt_source = dijkstra_with_targets(&uniform, request.source, sdn.servers());
+        let spt_source = dijkstra_with_targets(uniform, request.source, sdn.servers());
         for &v in sdn.servers() {
             // v is drawn from servers(), so the residual lookup cannot
             // miss; a dead server reads as zero capacity.
@@ -104,7 +100,7 @@ impl OnlineAlgorithm for LsChainAdmission {
                 bound_blocked = true;
                 continue;
             }
-            let spt_v = dijkstra_with_targets(&uniform, v, &request.destinations);
+            let spt_v = dijkstra_with_targets(uniform, v, &request.destinations);
             let mut tree_edges: Vec<EdgeId> = Vec::new();
             let mut hops = h_in;
             let mut feasible = true;

@@ -3,7 +3,7 @@
 
 use crate::OnlineAlgorithm;
 use netgraph::{
-    induced_subgraph, CsrGraph, DijkstraScratch, EdgeId, FilteredGraph, Graph, LandmarkOracle,
+    induced_subgraph_weighted, CsrGraph, DijkstraScratch, EdgeId, FilteredGraph, LandmarkOracle,
     NodeId,
 };
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
@@ -47,8 +47,8 @@ pub enum ThresholdRule {
     TreeSum,
 }
 
-/// Cached admission graph `G_k`: the residual-feasible subgraph and its
-/// weighted copy for one `(Sdn::version, bandwidth)` pair.
+/// Cached admission graph `G_k` for one `(Sdn::version, bandwidth)` pair:
+/// the residual-feasible subgraph, its edges carrying the `G_k` weights.
 ///
 /// The exponential weights are a pure function of the residual state, so
 /// the cache stays valid exactly until the next successful allocation,
@@ -59,12 +59,107 @@ pub enum ThresholdRule {
 struct AdmissionGraphCache {
     version: u64,
     bandwidth_bits: u64,
-    filtered: FilteredGraph,
-    weighted: Graph,
-    /// Landmark oracle over `weighted` (present only in oracle mode):
-    /// admissible lower bounds on weighted-graph distances, rebuilt
-    /// together with the graph it describes so it can never go stale.
-    oracle: Option<LandmarkOracle>,
+    graph: FilteredGraph,
+}
+
+/// The candidate-scan landmark oracle (oracle mode only) over every link
+/// alive at build time, priced at the `G_k` weights of that moment, plus
+/// the per-link residuals it was built against.
+///
+/// The oracle is kept while every link alive now was alive at build time
+/// and has no more residual bandwidth than then. Under that rule each
+/// `G_k` is a subgraph of the oracle graph whose weights are no lower:
+/// utilisation only rose, so `β^util − 1` did too, and `G_k`'s cost
+/// maximum `c_max` (over fewer links) is no larger, so its tiebreak term
+/// is no smaller. Distances in `G_k` therefore dominate the oracle's, and
+/// the ALT bounds stay admissible. Allocations and failures always keep
+/// the oracle; a release, recovery or [`Sdn::reset`] rebuilds it once it
+/// lifts a link above its build-time residual or revives a link that was
+/// down at build time. Like the `G_k` cache, the slot assumes one
+/// `OnlineCp` follows one network.
+#[derive(Debug, Clone)]
+struct OracleSlot {
+    oracle: LandmarkOracle,
+    /// Residual bandwidth of each link at build time, `−∞` for a link
+    /// that was down (so its recovery fails the reuse check).
+    residual: Vec<f64>,
+}
+
+impl OracleSlot {
+    fn build(sdn: &Sdn, mode: CostMode, landmarks: usize) -> Self {
+        let alive = |e: EdgeId| sdn.is_link_alive(e);
+        let pricing = EdgePricing::new(sdn, mode, alive);
+        let edges: Vec<(NodeId, NodeId, f64)> = sdn
+            .graph()
+            .edges()
+            .filter(|e| alive(e.id))
+            .map(|e| (e.u, e.v, pricing.weight(sdn, e.id)))
+            .collect();
+        let csr = CsrGraph::from_edge_list(sdn.node_count(), &edges);
+        let residual = sdn
+            .graph()
+            .edges()
+            .map(|e| {
+                if alive(e.id) {
+                    sdn.residual_bandwidth(e.id)
+                } else {
+                    f64::NEG_INFINITY
+                }
+            })
+            .collect();
+        OracleSlot {
+            oracle: LandmarkOracle::build(&csr, landmarks, &mut DijkstraScratch::new()),
+            residual,
+        }
+    }
+
+    /// Whether the oracle's bounds are still admissible on `sdn`: no link
+    /// came back up and no residual grew since the build.
+    fn admissible_on(&self, sdn: &Sdn) -> bool {
+        self.residual.len() == sdn.link_count()
+            && sdn
+                .graph()
+                .edges()
+                .zip(&self.residual)
+                .all(|(e, &r)| !sdn.is_link_alive(e.id) || sdn.residual_bandwidth(e.id) <= r)
+    }
+}
+
+/// The `G_k` link weights for one network state: the exponential weight
+/// plus an infinitesimal unit-cost tiebreak normalised by the largest unit
+/// cost `c_max` among the priced links, or the plain unit cost in linear
+/// mode.
+struct EdgePricing {
+    mode: CostMode,
+    model: ExponentialCostModel,
+    c_max: f64,
+}
+
+impl EdgePricing {
+    /// Prices the links passing `keep` (they fix `c_max`).
+    fn new(sdn: &Sdn, mode: CostMode, mut keep: impl FnMut(EdgeId) -> bool) -> Self {
+        let c_max = sdn
+            .graph()
+            .edges()
+            .filter(|e| keep(e.id))
+            .map(|e| sdn.unit_bandwidth_cost(e.id))
+            .fold(sdn::COST_FLOOR, f64::max);
+        EdgePricing {
+            mode,
+            model: ExponentialCostModel::for_network(sdn),
+            c_max,
+        }
+    }
+
+    fn weight(&self, sdn: &Sdn, e: EdgeId) -> f64 {
+        match self.mode {
+            CostMode::Exponential => {
+                let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(e) / self.c_max;
+                self.model.edge_weight(sdn, e) + tiebreak
+            }
+            CostMode::Linear => LinearCostModel::new().edge_cost(sdn, e, 1.0),
+        }
+    }
 }
 
 /// The `Online_CP` admission algorithm (Algorithm 2, `K = 1`).
@@ -76,6 +171,8 @@ pub struct OnlineCp {
     oracle_landmarks: usize,
     cache: Option<AdmissionGraphCache>,
     cache_hits: u64,
+    oracle: Option<OracleSlot>,
+    oracle_builds: u64,
 }
 
 impl OnlineCp {
@@ -114,6 +211,7 @@ impl OnlineCp {
     #[must_use]
     pub fn with_oracle(mut self, landmarks: usize) -> Self {
         self.oracle_landmarks = landmarks;
+        self.oracle = None;
         self
     }
 
@@ -151,14 +249,19 @@ impl OnlineCp {
         self.cache.as_ref().map(|c| c.version)
     }
 
+    /// Landmark-oracle builds so far: the first admission in oracle mode
+    /// builds one, and later admissions rebuild it only after a release,
+    /// recovery or reset lifted a link above the residual it was built at
+    /// or revived a link that was down then.
+    #[must_use]
+    pub fn oracle_builds(&self) -> u64 {
+        self.oracle_builds
+    }
+
     /// Returns (building if needed) the admission graph for bandwidth `b`
-    /// against the current residual state, plus the landmark oracle over
-    /// its weighted copy when oracle mode is on.
-    fn admission_graph(
-        &mut self,
-        sdn: &Sdn,
-        b: f64,
-    ) -> (&FilteredGraph, &Graph, Option<&LandmarkOracle>) {
+    /// against the current residual state, plus the landmark oracle when
+    /// oracle mode is on.
+    fn admission_graph(&mut self, sdn: &Sdn, b: f64) -> (&FilteredGraph, Option<&LandmarkOracle>) {
         let version = sdn.version();
         let bandwidth_bits = b.to_bits();
         let fresh = self
@@ -170,29 +273,24 @@ impl OnlineCp {
             telemetry::hit(telemetry::Counter::AdmissionCacheHits);
         } else {
             telemetry::hit(telemetry::Counter::AdmissionCacheRebuilds);
-            let (filtered, weighted) = build_admission_graph(sdn, b, self.mode);
-            // The oracle prices the same weighted graph the Steiner scan
-            // runs on, so its bounds are admissible for exactly the trees
-            // this cache generation will build.
-            let oracle = (self.oracle_landmarks > 0).then(|| {
-                let csr = CsrGraph::from_graph(&weighted);
-                LandmarkOracle::build(&csr, self.oracle_landmarks, &mut DijkstraScratch::new())
-            });
             self.cache = Some(AdmissionGraphCache {
                 version,
                 bandwidth_bits,
-                filtered,
-                weighted,
-                oracle,
+                graph: build_admission_graph(sdn, b, self.mode),
             });
         }
+        if self.oracle_landmarks > 0 && !self.oracle.as_ref().is_some_and(|o| o.admissible_on(sdn))
+        {
+            self.oracle = Some(OracleSlot::build(sdn, self.mode, self.oracle_landmarks));
+            self.oracle_builds += 1;
+        }
         let c = self.cache.as_ref().expect("cache was just filled"); // lint:allow(P1): the branch above just filled the cache
-        (&c.filtered, &c.weighted, c.oracle.as_ref())
+        (&c.graph, self.oracle.as_ref().map(|o| &o.oracle))
     }
 }
 
 /// Builds the admission graph `G_k` for bandwidth `b`: the alive,
-/// residual-feasible subgraph and its weighted copy under the chosen cost
+/// residual-feasible subgraph, its edges weighted under the chosen cost
 /// mode. Shared by `OnlineCp`'s cache and the `EmpPricing` strategy so the
 /// two graphs can never drift apart.
 ///
@@ -204,32 +302,11 @@ impl OnlineCp {
 /// arbitrarily (and wastefully); an infinitesimal unit-cost term breaks
 /// those ties toward cost-efficient trees without ever influencing a
 /// loaded decision or the admission thresholds.
-pub(crate) fn build_admission_graph(sdn: &Sdn, b: f64, mode: CostMode) -> (FilteredGraph, Graph) {
-    let model = ExponentialCostModel::for_network(sdn);
-    let linear = LinearCostModel::new();
-    let filtered = induced_subgraph(
-        sdn.graph(),
-        |_| true,
-        |e| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b,
-    );
-    let g = filtered.graph();
-    let c_max = g
-        .edges()
-        .map(|e| sdn.unit_bandwidth_cost(filtered.parent_edge(e.id)))
-        .fold(sdn::COST_FLOOR, f64::max);
-    let mut weighted = Graph::with_nodes(g.node_count());
-    for e in g.edges() {
-        let orig = filtered.parent_edge(e.id);
-        let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(orig) / c_max;
-        let w = match mode {
-            CostMode::Exponential => model.edge_weight(sdn, orig) + tiebreak,
-            CostMode::Linear => linear.edge_cost(sdn, orig, 1.0),
-        };
-        weighted
-            .add_edge(e.u, e.v, w)
-            .expect("filtered edges are valid"); // lint:allow(P1): copies an edge the parent graph already validated
-    }
-    (filtered, weighted)
+pub(crate) fn build_admission_graph(sdn: &Sdn, b: f64, mode: CostMode) -> FilteredGraph {
+    let keep =
+        |e: EdgeId| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b;
+    let pricing = EdgePricing::new(sdn, mode, keep);
+    induced_subgraph_weighted(sdn.graph(), |_| true, keep, |e| pricing.weight(sdn, e.id))
 }
 
 /// One evaluated admission candidate.
@@ -273,8 +350,8 @@ pub(crate) struct AdmissionCtx<'a> {
     pub(crate) sigma: f64,
     pub(crate) mode: CostMode,
     pub(crate) rule: ThresholdRule,
-    pub(crate) filtered: &'a FilteredGraph,
-    pub(crate) weighted: &'a Graph,
+    /// `G_k`, its edges carrying the admission weights.
+    pub(crate) gk: &'a FilteredGraph,
 }
 
 impl AdmissionCtx<'_> {
@@ -284,7 +361,7 @@ impl AdmissionCtx<'_> {
         wv: f64,
         bank: Option<&mut steiner::TerminalSptBank>,
     ) -> EvalOutcome {
-        let (sdn, request, weighted) = (self.sdn, self.request, self.weighted);
+        let (sdn, request, weighted) = (self.sdn, self.request, self.gk.graph());
         // Step 8: Steiner tree over {s_k, v} ∪ D_k in G_k. The banked
         // variant reuses the anchor SPTs shared by every candidate and is
         // byte-identical to the fresh construction.
@@ -326,15 +403,15 @@ impl AdmissionCtx<'_> {
 
         // Materialize the pseudo-multicast tree in original edge ids.
         let ingress = rooted.path_between(request.source, v);
-        let ingress_ids: Vec<EdgeId> = self.filtered.parent_edges(ingress.edges());
+        let ingress_ids: Vec<EdgeId> = self.gk.parent_edges(ingress.edges());
         let ingress_set: std::collections::BTreeSet<EdgeId> = ingress_ids.iter().copied().collect();
-        let all_tree: Vec<EdgeId> = self.filtered.parent_edges(tree.edges());
+        let all_tree: Vec<EdgeId> = self.gk.parent_edges(tree.edges());
         let distribution: Vec<EdgeId> = all_tree
             .iter()
             .copied()
             .filter(|e| !ingress_set.contains(e))
             .collect();
-        let extra: Vec<EdgeId> = self.filtered.parent_edges(sendback.edges());
+        let extra: Vec<EdgeId> = self.gk.parent_edges(sendback.edges());
 
         let ingress_cost: f64 = ingress_ids
             .iter()
@@ -384,8 +461,8 @@ impl OnlineAlgorithm for OnlineCp {
 
         let mode = self.mode;
         let rule = self.rule;
-        let (filtered, weighted, oracle) = self.admission_graph(sdn, b);
-        if weighted.edge_count() == 0 {
+        let (gk, oracle) = self.admission_graph(sdn, b);
+        if gk.graph().edge_count() == 0 {
             telemetry::hit(telemetry::Counter::OnlineRejectedInfeasible);
             return None;
         }
@@ -397,8 +474,7 @@ impl OnlineAlgorithm for OnlineCp {
             sigma,
             mode,
             rule,
-            filtered,
-            weighted,
+            gk,
         };
 
         // Phase 1: cheap per-server checks. These always run over every
@@ -717,12 +793,8 @@ mod tests {
         assert_eq!(warm_net, cold_net);
     }
 
-    #[test]
-    fn oracle_scan_matches_exact_decisions() {
-        // Ring of 16 nodes with chords, a server on every third node.
-        // The oracle-ordered lazy scan must admit exactly the same trees
-        // as the exact scan across a full allocating sequence, including
-        // the requests that end up rejected.
+    /// Ring of 16 nodes with chords, a server on every third node.
+    fn ring_fixture() -> (Sdn, Vec<NodeId>) {
         let mut bld = SdnBuilder::new();
         let nodes: Vec<NodeId> = (0..16)
             .map(|i| {
@@ -746,32 +818,236 @@ mod tests {
             bld.add_link(nodes[i], nodes[(i + 7) % 16], 2_000.0, 1.5)
                 .unwrap();
         }
-        let sdn0 = bld.build().unwrap();
+        (bld.build().unwrap(), nodes)
+    }
+
+    fn ring_request(nodes: &[NodeId], i: u64) -> Option<MulticastRequest> {
+        let src = nodes[(i as usize * 5) % 16];
+        let dst = nodes[(i as usize * 11 + 3) % 16];
+        (src != dst).then(|| MulticastRequest::new(RequestId(i), src, vec![dst], 120.0, chain()))
+    }
+
+    #[test]
+    fn oracle_scan_matches_exact_decisions() {
+        // The oracle-ordered lazy scan must admit exactly the same trees
+        // as the exact scan across a sequence that allocates, releases,
+        // and fails and recovers links, so the oracle is both reused
+        // while weights only rise and rebuilt when one can fall.
+        let (sdn0, nodes) = ring_fixture();
+        let links: Vec<EdgeId> = sdn0.graph().edges().map(|e| e.id).collect();
         let mut exact_net = sdn0.clone();
         let mut oracle_net = sdn0;
         let mut exact = OnlineCp::new();
         let mut fast = OnlineCp::new().with_oracle(4);
         assert_eq!(fast.oracle_landmarks(), 4);
         assert_eq!(exact.oracle_landmarks(), 0);
+        let mut sessions: Vec<Allocation> = Vec::new();
         let mut admitted = 0;
-        for i in 0..40u64 {
-            let src = nodes[(i as usize * 5) % 16];
-            let dst = nodes[(i as usize * 11 + 3) % 16];
-            if src == dst {
-                continue;
+        for i in 0..60u64 {
+            let link = links[(i as usize * 3) % links.len()];
+            let released = (i % 9 == 4 && !sessions.is_empty()).then(|| sessions.remove(0));
+            for net in [&mut exact_net, &mut oracle_net] {
+                if let Some(session) = &released {
+                    net.release(session).unwrap();
+                }
+                match i % 10 {
+                    0 => drop(net.fail_link(link).unwrap()),
+                    5 => net.recover_all(),
+                    _ => {}
+                }
             }
-            let req = MulticastRequest::new(RequestId(i), src, vec![dst], 120.0, chain());
+            let Some(req) = ring_request(&nodes, i) else {
+                continue;
+            };
             let a = exact.admit(&exact_net, &req);
             let b = fast.admit(&oracle_net, &req);
             assert_eq!(a, b, "request {}", req.id);
             if let (Some(ta), Some(tb)) = (&a, &b) {
                 exact_net.allocate(&ta.allocation(&req)).unwrap();
                 oracle_net.allocate(&tb.allocation(&req)).unwrap();
+                sessions.push(ta.allocation(&req));
                 admitted += 1;
             }
+            assert_eq!(exact_net, oracle_net);
         }
         assert!(admitted > 0, "fixture admits nothing; test is vacuous");
-        assert_eq!(exact_net, oracle_net);
+        assert!(fast.oracle_builds() > 1, "no rebuild was exercised");
+        assert!(
+            fast.oracle_builds() < admitted,
+            "the oracle was never reused ({} builds)",
+            fast.oracle_builds()
+        );
+    }
+
+    #[test]
+    fn oracle_rebuilds_only_when_a_weight_can_fall() {
+        let (mut sdn, nodes) = ring_fixture();
+        let links: Vec<EdgeId> = sdn.graph().edges().map(|e| e.id).collect();
+        let (down, other) = (links[0], links[5]);
+        let server = nodes[3];
+        let mut algo = OnlineCp::new().with_oracle(4);
+        let mut next = 0u64;
+        // Offers the next servable request; commits and returns its
+        // allocation when admitted.
+        let mut admit_one = |algo: &mut OnlineCp, sdn: &mut Sdn| loop {
+            next += 1;
+            let Some(req) = ring_request(&nodes, next) else {
+                continue;
+            };
+            let alloc = algo.admit(sdn, &req).map(|tree| tree.allocation(&req));
+            if let Some(a) = &alloc {
+                sdn.allocate(a).unwrap();
+            }
+            break alloc;
+        };
+        // The first admission builds the oracle with `down` already down.
+        sdn.fail_link(down).unwrap();
+        let held: Vec<Allocation> = (0..8)
+            .filter_map(|_| admit_one(&mut algo, &mut sdn))
+            .collect();
+        assert_eq!(algo.oracle_builds(), 1, "allocations must keep the oracle");
+        let held = held.first().expect("fixture admits nothing").clone();
+
+        sdn.fail_link(other).unwrap();
+        admit_one(&mut algo, &mut sdn);
+        sdn.fail_server(server).unwrap();
+        admit_one(&mut algo, &mut sdn);
+        assert_eq!(algo.oracle_builds(), 1, "failures must keep the oracle");
+        // A server's liveness never prices a link, and `other` was up when
+        // the oracle was built at weights no higher than today's.
+        sdn.recover_server(server).unwrap();
+        admit_one(&mut algo, &mut sdn);
+        sdn.recover_link(other).unwrap();
+        admit_one(&mut algo, &mut sdn);
+        assert_eq!(algo.oracle_builds(), 1);
+
+        // Each of these lifts a link above what the current oracle was
+        // built at: exactly one rebuild, and the new oracle is kept.
+        let mut builds = 1;
+        let mut expect_one_rebuild = |what: &str, algo: &mut OnlineCp, sdn: &mut Sdn| {
+            admit_one(algo, sdn);
+            builds += 1;
+            assert_eq!(algo.oracle_builds(), builds, "{what} must rebuild once");
+            admit_one(algo, sdn);
+            assert_eq!(
+                algo.oracle_builds(),
+                builds,
+                "{what}: the new oracle is kept"
+            );
+        };
+        sdn.recover_link(down).unwrap();
+        expect_one_rebuild("recover_link", &mut algo, &mut sdn);
+        sdn.release(&held).unwrap();
+        expect_one_rebuild("release", &mut algo, &mut sdn);
+        sdn.reset();
+        expect_one_rebuild("reset", &mut algo, &mut sdn);
+    }
+
+    /// Small ring-plus-chords network for the oracle property sweep:
+    /// `n` nodes, a server on every third, chords `(u, v, unit cost)`.
+    fn arb_net(n: usize, chords: &[(usize, usize, u32)]) -> Sdn {
+        let mut bld = SdnBuilder::new();
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    bld.add_server(1_000.0, 1.0)
+                } else {
+                    bld.add_switch()
+                }
+            })
+            .collect();
+        for i in 0..n {
+            let cost = 1.0 + (i % 4) as f64;
+            bld.add_link(nodes[i], nodes[(i + 1) % n], 1_000.0, cost)
+                .unwrap();
+        }
+        for &(u, v, c) in chords {
+            if u % n != v % n {
+                bld.add_link(nodes[u % n], nodes[v % n], 1_000.0, f64::from(c))
+                    .unwrap();
+            }
+        }
+        bld.build().unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The oracle is kept exactly as `OnlineCp` keeps it — through
+        /// any mix of allocations and link or server failures, and through
+        /// releases and recoveries until the reuse rule calls for a
+        /// rebuild — and never overestimates a distance in a freshly built
+        /// `G_k` by more than the margin the candidate scan's prune test
+        /// already allows.
+        #[test]
+        fn kept_oracle_stays_admissible(
+            n in 6usize..16,
+            chords in proptest::collection::vec((0usize..16, 0usize..16, 1u32..6), 0..12),
+            steps in proptest::collection::vec((0u8..6, 0usize..64, 1u32..900), 1..16),
+            preload in proptest::collection::vec((0usize..64, 1u32..900), 0..8),
+            down in 0usize..64,
+            linear in proptest::prelude::any::<bool>(),
+        ) {
+            let mut sdn = arb_net(n, &chords);
+            let mode = if linear { CostMode::Linear } else { CostMode::Exponential };
+            let m = sdn.link_count();
+            // A load on a run of links, like a path's.
+            let path_load = |id: u64, idx: usize, amount: u32| {
+                let mut alloc = Allocation::new(RequestId(id));
+                for j in 0..4 {
+                    alloc.add_link(EdgeId::new((idx + j) % m), f64::from(amount));
+                }
+                alloc
+            };
+            // Build the oracle on a loaded network with a link down, so
+            // later releases and recoveries can undercut its weights.
+            let mut held: Vec<Allocation> = Vec::new();
+            for (i, &(idx, amount)) in preload.iter().enumerate() {
+                let alloc = path_load(1_000 + i as u64, idx, amount);
+                if sdn.allocate(&alloc).is_ok() {
+                    held.push(alloc);
+                }
+            }
+            sdn.fail_link(EdgeId::new(down % m)).unwrap();
+            let mut slot = OracleSlot::build(&sdn, mode, 3);
+            for (i, &(kind, idx, amount)) in steps.iter().enumerate() {
+                let e = EdgeId::new(idx % m);
+                let weights_only_rise = kind < 4;
+                match kind {
+                    0 | 1 => {
+                        let alloc = path_load(i as u64, idx, amount);
+                        // An allocation that no longer fits is refused
+                        // and leaves the ledger untouched.
+                        if sdn.allocate(&alloc).is_ok() {
+                            held.push(alloc);
+                        }
+                    }
+                    2 => drop(sdn.fail_link(e).unwrap()),
+                    3 => drop(sdn.fail_server(sdn.servers()[idx % sdn.servers().len()]).unwrap()),
+                    4 if !held.is_empty() => sdn.release(&held.remove(idx % held.len())).unwrap(),
+                    _ => drop(sdn.recover_link(e).unwrap()),
+                }
+                if weights_only_rise {
+                    proptest::prop_assert!(slot.admissible_on(&sdn), "step {i} broke the reuse rule");
+                } else if !slot.admissible_on(&sdn) {
+                    slot = OracleSlot::build(&sdn, mode, 3);
+                }
+                for b in [1.0, 150.0, 600.0] {
+                    let gk = build_admission_graph(&sdn, b, mode);
+                    for u in gk.graph().nodes() {
+                        let spt = netgraph::dijkstra(gk.graph(), u);
+                        for v in gk.graph().nodes() {
+                            let Some(d) = spt.distance(v) else { continue };
+                            let lb = slot.oracle.lower_bound(u, v);
+                            proptest::prop_assert!(
+                                lb <= d * (1.0 + sdn::PRUNE_GUARD_REL) + sdn::PRUNE_GUARD_ABS,
+                                "step {i}, b = {b}: lb({u},{v}) = {lb} exceeds d = {d}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

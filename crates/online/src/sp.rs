@@ -9,7 +9,7 @@
 //! `Online_CP` against.
 
 use crate::OnlineAlgorithm;
-use netgraph::{dijkstra_with_targets, induced_subgraph, EdgeId};
+use netgraph::{dijkstra_with_targets, induced_subgraph_weighted, EdgeId};
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
 use sdn::{MulticastRequest, Sdn};
 
@@ -36,21 +36,16 @@ impl OnlineAlgorithm for ShortestPathBaseline {
         let demand = request.computing_demand();
 
         // Remove saturated and failed links; uniform weight on the rest.
-        let filtered = induced_subgraph(
+        let filtered = induced_subgraph_weighted(
             sdn.graph(),
             |_| true,
             |e| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b,
+            |_| 1.0,
         );
-        let g = filtered.graph();
-        let mut uniform = netgraph::Graph::with_nodes(g.node_count());
-        for e in g.edges() {
-            uniform
-                .add_edge(e.u, e.v, 1.0)
-                .expect("filtered edges are valid"); // lint:allow(P1): copies an edge the parent graph already validated
-        }
+        let uniform = filtered.graph();
 
         let mut best: Option<(f64, PseudoMulticastTree)> = None;
-        let spt_source = dijkstra_with_targets(&uniform, request.source, sdn.servers());
+        let spt_source = dijkstra_with_targets(uniform, request.source, sdn.servers());
         for &v in sdn.servers() {
             // lint:allow(P1): v is drawn from servers()
             let residual = sdn.residual_computing(v).expect("server");
@@ -63,7 +58,7 @@ impl OnlineAlgorithm for ShortestPathBaseline {
             // Shortest-path tree rooted at the server spanning the
             // destinations (union of shortest paths — a tree because they
             // come from one Dijkstra run).
-            let spt_v = dijkstra_with_targets(&uniform, v, &request.destinations);
+            let spt_v = dijkstra_with_targets(uniform, v, &request.destinations);
             let mut tree_edges: Vec<EdgeId> = Vec::new();
             let mut hops = ingress.cost();
             let mut feasible = true;
