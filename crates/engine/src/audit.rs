@@ -12,8 +12,9 @@
 //!    failed link or server.
 //! 3. **Cache freshness** — via [`Auditor::check_caches`], any cache
 //!    claiming to be synced with the network (e.g.
-//!    `PathCache::synced_version`, `OnlineCp::cached_version`) must
-//!    report the current `Sdn::version`; serving from an older version
+//!    `PathCache::synced_version`, and `OnlineCp::cached_version`, the
+//!    version its priced network was last refreshed at) must report the
+//!    current `Sdn::version`; serving from an older version
 //!    is exactly the stale-read bug the version counter exists to stop.
 //!
 //! The checks are `O(sessions × footprint)` — far too slow for the hot

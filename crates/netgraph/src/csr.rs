@@ -41,26 +41,40 @@ impl CsrGraph {
     /// Snapshots `g`, preserving the adjacency order of every node.
     #[must_use]
     pub fn from_graph(g: &Graph) -> Self {
-        let n = g.node_count();
         let arcs = 2 * g.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(arcs);
-        let mut edge_ids = Vec::with_capacity(arcs);
-        let mut weights = Vec::with_capacity(arcs);
-        offsets.push(0);
+        let mut csr = CsrGraph {
+            offsets: Vec::with_capacity(g.node_count() + 1),
+            targets: Vec::with_capacity(arcs),
+            edge_ids: Vec::with_capacity(arcs),
+            weights: Vec::with_capacity(arcs),
+        };
+        csr.refill(g, |e| Some(g.edge(e).weight));
+        csr
+    }
+
+    /// Overwrites this snapshot with a subgraph of `g`, reusing its
+    /// buffers: each arc of `g` whose edge `arc` maps to `Some(weight)`
+    /// is kept with that weight. Every node of `g` stays, and the kept
+    /// arcs keep `g`'s edge ids and per-node adjacency order: the result
+    /// is [`CsrGraph::from_graph`] of the subgraph of `g` with only the
+    /// kept, re-weighted edges, except that edge ids are not renumbered.
+    /// `arc` is called once per arc, so twice per edge, and must answer
+    /// both calls alike.
+    pub fn refill(&mut self, g: &Graph, mut arc: impl FnMut(EdgeId) -> Option<f64>) {
+        self.offsets.clear();
+        self.targets.clear();
+        self.edge_ids.clear();
+        self.weights.clear();
+        self.offsets.push(0);
         for v in g.nodes() {
             for nb in g.neighbors(v) {
-                targets.push(nb.node);
-                edge_ids.push(nb.edge);
-                weights.push(g.edge(nb.edge).weight);
+                if let Some(w) = arc(nb.edge) {
+                    self.targets.push(nb.node);
+                    self.edge_ids.push(nb.edge);
+                    self.weights.push(w);
+                }
             }
-            offsets.push(targets.len());
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            edge_ids,
-            weights,
+            self.offsets.push(self.targets.len());
         }
     }
 
@@ -529,6 +543,38 @@ mod tests {
         }
         assert!(csr.contains_node(v[4]));
         assert!(!csr.contains_node(NodeId::new(5)));
+    }
+
+    #[test]
+    fn refill_keeps_parent_ids_and_matches_induced_subgraph() {
+        let (g, v) = diamond();
+        let dropped = g.find_edge(v[0], v[1]).unwrap();
+        let mut csr = CsrGraph::from_graph(&g);
+        csr.refill(&g, |e| (e != dropped).then(|| g.edge(e).weight));
+        let sub = crate::induced_subgraph(&g, |_| true, |e| e != dropped);
+        let reference = CsrGraph::from_graph(sub.graph());
+        assert_eq!(csr.node_count(), reference.node_count());
+        for n in g.nodes() {
+            let got: Vec<_> = csr.arcs(n).collect();
+            let want: Vec<_> = reference
+                .arcs(n)
+                .map(|(h, e, w)| (h, sub.parent_edge(e), w))
+                .collect();
+            assert_eq!(got, want);
+        }
+        let mut scratch = DijkstraScratch::new();
+        for &source in &v {
+            let got = dijkstra_csr(&csr, source, &mut scratch);
+            let want = dijkstra(sub.graph(), source);
+            for n in g.nodes() {
+                assert_eq!(got.distance(n), want.distance(n));
+                let mapped = want.predecessor(n).map(|(p, e)| (p, sub.parent_edge(e)));
+                assert_eq!(got.predecessor(n), mapped);
+            }
+        }
+        // Refilling with everything restores the full snapshot.
+        csr.refill(&g, |e| Some(g.edge(e).weight));
+        assert_eq!(csr, CsrGraph::from_graph(&g));
     }
 
     #[test]

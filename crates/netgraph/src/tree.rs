@@ -59,6 +59,18 @@ impl RootedTree {
     /// no edges is a valid single-node tree.
     #[must_use]
     pub fn from_edges(g: &Graph, edges: &[EdgeId], root: NodeId) -> Option<RootedTree> {
+        RootedTree::from_weighted_edges(g, edges, root, |e| g.edge(e).weight)
+    }
+
+    /// [`RootedTree::from_edges`] with each edge weighing `weight(e)`
+    /// instead of its weight in `g`, which then supplies only endpoints.
+    #[must_use]
+    pub fn from_weighted_edges(
+        g: &Graph,
+        edges: &[EdgeId],
+        root: NodeId,
+        weight: impl Fn(EdgeId) -> f64,
+    ) -> Option<RootedTree> {
         // Collect incident nodes.
         let mut index: BTreeMap<NodeId, usize> = BTreeMap::new();
         let mut nodes: Vec<NodeId> = Vec::new();
@@ -77,8 +89,9 @@ impl RootedTree {
             if adj.len() < nodes.len() {
                 adj.resize(nodes.len(), Vec::new());
             }
-            adj[ui].push((vi, e, er.weight));
-            adj[vi].push((ui, e, er.weight));
+            let w = weight(e);
+            adj[ui].push((vi, e, w));
+            adj[vi].push((ui, e, w));
         }
         let n = nodes.len();
         // A tree on n nodes has exactly n - 1 edges.
@@ -110,7 +123,7 @@ impl RootedTree {
             return None; // disconnected (cycle elsewhere given the edge count)
         }
 
-        let total_weight = edges.iter().map(|&e| g.edge(e).weight).sum();
+        let total_weight = edges.iter().map(|&e| weight(e)).sum();
         Some(RootedTree {
             root,
             index,

@@ -19,7 +19,7 @@
 //! prices live on the same normalized scale. Price-caused rejections are
 //! recorded on [`telemetry::Counter::OnlinePriceRejections`].
 
-use crate::online_cp::{build_admission_graph, AdmissionCtx, Candidate, EvalOutcome};
+use crate::online_cp::{AdmissionCtx, Candidate, EvalOutcome, PricedNetwork};
 use crate::{CostMode, OnlineAlgorithm, ThresholdRule};
 use nfv_multicast::PseudoMulticastTree;
 use sdn::{ExponentialCostModel, MulticastRequest, Sdn};
@@ -41,14 +41,19 @@ pub fn request_revenue(sdn: &Sdn, request: &MulticastRequest) -> f64 {
 }
 
 /// The Even–Medina–Patt-Shamir-style price-vs-benefit admission policy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct EmpPricing {
     benefit_scale: f64,
+    /// The exponentially priced network, kept between requests.
+    priced: Option<PricedNetwork>,
 }
 
 impl Default for EmpPricing {
     fn default() -> Self {
-        EmpPricing { benefit_scale: 1.0 }
+        EmpPricing {
+            benefit_scale: 1.0,
+            priced: None,
+        }
     }
 }
 
@@ -86,8 +91,8 @@ impl OnlineAlgorithm for EmpPricing {
         let model = ExponentialCostModel::for_network(sdn);
         let benefit = self.benefit_scale * request_revenue(sdn, request);
 
-        let gk = build_admission_graph(sdn, b, CostMode::Exponential);
-        if gk.graph().edge_count() == 0 {
+        let (net, _) = PricedNetwork::refreshed(&mut self.priced, sdn, b, CostMode::Exponential);
+        if net.is_empty() {
             telemetry::hit(telemetry::Counter::OnlineRejectedInfeasible);
             return None;
         }
@@ -101,7 +106,7 @@ impl OnlineAlgorithm for EmpPricing {
             sigma: f64::INFINITY,
             mode: CostMode::Exponential,
             rule: ThresholdRule::PerEdge,
-            gk: &gk,
+            gk: net,
         };
 
         let mut candidates: Vec<Candidate> = Vec::new();

@@ -2,10 +2,7 @@
 //! model and LCA-based pseudo-multicast trees.
 
 use crate::OnlineAlgorithm;
-use netgraph::{
-    induced_subgraph_weighted, CsrGraph, DijkstraScratch, EdgeId, FilteredGraph, LandmarkOracle,
-    NodeId,
-};
+use netgraph::{CsrGraph, DijkstraScratch, EdgeId, LandmarkOracle, NodeId, RootedTree};
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
 use sdn::{ExponentialCostModel, LinearCostModel, MulticastRequest, Sdn};
 
@@ -47,19 +44,204 @@ pub enum ThresholdRule {
     TreeSum,
 }
 
-/// Cached admission graph `G_k` for one `(Sdn::version, bandwidth)` pair:
-/// the residual-feasible subgraph, its edges carrying the `G_k` weights.
+/// The network as `Online_CP` prices it, kept from one request to the
+/// next: every link's `G_k` weight, and the arcs of the current
+/// request's `G_k` filtered from it.
 ///
-/// The exponential weights are a pure function of the residual state, so
-/// the cache stays valid exactly until the next successful allocation,
-/// release, or reset bumps [`Sdn::version`]. Rejections do not move the
-/// version — under saturation, where most arrivals are rejected, this
-/// removes the full graph rebuild from the hot path.
+/// A link's weight is its exponential price `β^util − 1` plus an
+/// infinitesimal unit-cost tiebreak `COST_TIEBREAK_REL·c_e/c_max`, where
+/// `c_max` is the largest unit cost among the links `G_k` keeps; in
+/// linear mode it is the unit cost `c_e`. A committed tree moves the
+/// price of only the links it uses, so [`PricedNetwork::refresh`] makes
+/// one O(m) pass that compares each link's residual and liveness with the
+/// ones it was priced at and calls `powf` only on the links that moved.
+/// `c_max` is the one input that depends on the request's bandwidth `b`:
+/// it is recomputed per request, and every tiebreak term is re-added only
+/// when it differs from the value the table was priced at.
+///
+/// `G_k` is then not rebuilt but filtered: the reused `arcs` buffer is
+/// refilled with the arcs of the links alive with `residual +
+/// CAPACITY_EPS ≥ b`, in the parent graph's adjacency order and with
+/// parent edge ids. The shortest-path runs of the Steiner routine use it,
+/// and everything after them reads weights from `weight` by parent edge
+/// id and endpoints from the network's own topology. Arcs and weights
+/// are bit-identical to a `G_k` built afresh (the test-only
+/// `build_admission_graph`), and so are the decisions (DESIGN.md §13).
+///
+/// Like the oracle slot, the table assumes one `OnlineCp` follows one
+/// network; it is rebuilt only when the network's shape changes.
 #[derive(Debug, Clone)]
-struct AdmissionGraphCache {
+pub(crate) struct PricedNetwork {
+    mode: CostMode,
+    model: ExponentialCostModel,
+    /// Each link's current `G_k` weight.
+    weight: Vec<f64>,
+    /// `β^util − 1` per link at the residual in `residual` (exponential
+    /// mode only).
+    price: Vec<f64>,
+    /// Residual bandwidth each link was last refreshed at.
+    residual: Vec<f64>,
+    /// Liveness of each link at the last refresh.
+    alive: Vec<bool>,
+    /// Whether each link is in the current request's `G_k`.
+    keep: Vec<bool>,
+    /// Links by unit cost, most expensive first: `c_max` is the cost of
+    /// the first one kept.
+    by_cost: Vec<EdgeId>,
+    /// The `c_max` the tiebreak terms in `weight` were computed with.
+    c_max: f64,
+    /// Links whose residual or liveness changed at the last refresh.
+    dirty: Vec<EdgeId>,
+    /// [`Sdn::version`] at the last refresh.
     version: u64,
-    bandwidth_bits: u64,
-    graph: FilteredGraph,
+    /// The current request's `G_k`: the kept links as arcs.
+    arcs: CsrGraph,
+}
+
+impl PricedNetwork {
+    /// Prices every link of `sdn`. The first [`PricedNetwork::refresh`]
+    /// adds the tiebreak terms.
+    fn new(sdn: &Sdn, mode: CostMode) -> Self {
+        let model = ExponentialCostModel::for_network(sdn);
+        let links = || sdn.graph().edges().map(|e| e.id);
+        let price = match mode {
+            CostMode::Exponential => links().map(|e| model.edge_weight(sdn, e)).collect(),
+            CostMode::Linear => Vec::new(),
+        };
+        let mut by_cost: Vec<EdgeId> = links().collect();
+        by_cost.sort_by(|&x, &y| {
+            sdn.unit_bandwidth_cost(y)
+                .total_cmp(&sdn.unit_bandwidth_cost(x))
+        });
+        PricedNetwork {
+            mode,
+            model,
+            arcs: CsrGraph::from_graph(sdn.graph()),
+            weight: vec![0.0; sdn.link_count()],
+            price,
+            residual: links().map(|e| sdn.residual_bandwidth(e)).collect(),
+            alive: links().map(|e| sdn.is_link_alive(e)).collect(),
+            keep: vec![false; sdn.link_count()],
+            by_cost,
+            // No `c_max` matches NaN, so the first refresh prices all.
+            c_max: f64::NAN,
+            dirty: Vec::new(),
+            version: sdn.version(),
+        }
+    }
+
+    /// Returns the table kept in `slot`, refreshed for a request of
+    /// bandwidth `b` on `sdn`, building it if the slot is empty or holds
+    /// another network shape or mode, and whether every link was
+    /// repriced (a build, or a new `c_max`).
+    pub(crate) fn refreshed<'s>(
+        slot: &'s mut Option<PricedNetwork>,
+        sdn: &Sdn,
+        b: f64,
+        mode: CostMode,
+    ) -> (&'s mut PricedNetwork, bool) {
+        let fits = |t: &PricedNetwork| {
+            t.mode == mode
+                && t.residual.len() == sdn.link_count()
+                && t.arcs.node_count() == sdn.node_count()
+        };
+        if !slot.as_ref().is_some_and(fits) {
+            *slot = None;
+        }
+        let table = slot.get_or_insert_with(|| PricedNetwork::new(sdn, mode));
+        let full = table.refresh(sdn, b);
+        (table, full)
+    }
+
+    /// Brings the table up to date with `sdn` and filters `G_k` at `b`.
+    /// Returns whether every link was repriced.
+    fn refresh(&mut self, sdn: &Sdn, b: f64) -> bool {
+        self.dirty.clear();
+        self.version = sdn.version();
+        let states = self.residual.iter_mut().zip(&mut self.alive);
+        for (i, ((residual, alive), keep)) in states.zip(&mut self.keep).enumerate() {
+            let e = EdgeId::new(i);
+            let now = (sdn.residual_bandwidth(e), sdn.is_link_alive(e));
+            if now.0.to_bits() != residual.to_bits() || now.1 != *alive {
+                (*residual, *alive) = now;
+                self.dirty.push(e);
+            }
+            *keep = now.1 && now.0 + sdn::CAPACITY_EPS >= b;
+        }
+        if self.mode == CostMode::Exponential {
+            for &e in &self.dirty {
+                if let Some(p) = self.price.get_mut(e.index()) {
+                    *p = self.model.edge_weight(sdn, e);
+                }
+            }
+        }
+        let c_max = self.c_max_where(sdn, &self.keep);
+        let full = c_max.to_bits() != self.c_max.to_bits();
+        self.c_max = c_max;
+        let (mode, price) = (self.mode, &self.price);
+        if full {
+            for (i, w) in self.weight.iter_mut().enumerate() {
+                *w = link_weight(mode, price, sdn, EdgeId::new(i), c_max);
+            }
+        } else {
+            for &e in &self.dirty {
+                if let Some(w) = self.weight.get_mut(e.index()) {
+                    *w = link_weight(mode, price, sdn, e, c_max);
+                }
+            }
+        }
+        self.filter(sdn);
+        full
+    }
+
+    /// Refills `arcs` with the links of the current `G_k`.
+    fn filter(&mut self, sdn: &Sdn) {
+        let (keep, weight) = (&self.keep, &self.weight);
+        self.arcs.refill(sdn.graph(), |e| {
+            match (keep.get(e.index()), weight.get(e.index())) {
+                (Some(true), Some(&w)) => Some(w),
+                _ => None,
+            }
+        });
+    }
+
+    /// The largest unit cost among the links passing `mask` (floored at
+    /// `COST_FLOOR`, like the fold over them in the reference build).
+    fn c_max_where(&self, sdn: &Sdn, mask: &[bool]) -> f64 {
+        self.by_cost
+            .iter()
+            .find(|e| mask.get(e.index()).copied().unwrap_or(false))
+            .map_or(sdn::COST_FLOOR, |&e| {
+                sdn::COST_FLOOR.max(sdn.unit_bandwidth_cost(e))
+            })
+    }
+
+    /// Whether the current `G_k` has no link at all.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.arcs.arc_count() == 0
+    }
+
+    /// The `G_k` weight of link `e`.
+    pub(crate) fn weight(&self, e: EdgeId) -> f64 {
+        self.weight.get(e.index()).copied().unwrap_or(f64::INFINITY)
+    }
+
+    /// The current `G_k` as arcs carrying parent link ids.
+    pub(crate) fn arcs(&self) -> &CsrGraph {
+        &self.arcs
+    }
+}
+
+/// Link `e`'s `G_k` weight given its exponential `price` table and the
+/// tiebreak normaliser `c_max`; the unit cost in linear mode.
+fn link_weight(mode: CostMode, price: &[f64], sdn: &Sdn, e: EdgeId, c_max: f64) -> f64 {
+    match mode {
+        CostMode::Exponential => {
+            let price = price.get(e.index()).copied().unwrap_or(0.0);
+            price + sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(e) / c_max
+        }
+        CostMode::Linear => sdn.unit_bandwidth_cost(e),
+    }
 }
 
 /// The candidate-scan landmark oracle (oracle mode only) over every link
@@ -75,7 +257,7 @@ struct AdmissionGraphCache {
 /// the ALT bounds stay admissible. Allocations and failures always keep
 /// the oracle; a release, recovery or [`Sdn::reset`] rebuilds it once it
 /// lifts a link above its build-time residual or revives a link that was
-/// down at build time. Like the `G_k` cache, the slot assumes one
+/// down at build time. Like the priced table, the slot assumes one
 /// `OnlineCp` follows one network.
 #[derive(Debug, Clone)]
 struct OracleSlot {
@@ -86,35 +268,30 @@ struct OracleSlot {
 }
 
 impl OracleSlot {
-    fn build(sdn: &Sdn, mode: CostMode, landmarks: usize) -> Self {
-        let alive = |e: EdgeId| sdn.is_link_alive(e);
-        let pricing = EdgePricing::new(sdn, mode, alive);
-        let edges: Vec<(NodeId, NodeId, f64)> = sdn
-            .graph()
-            .edges()
-            .filter(|e| alive(e.id))
-            .map(|e| (e.u, e.v, pricing.weight(sdn, e.id)))
+    /// Builds the oracle from a table just refreshed against `sdn`. The
+    /// oracle graph is laid out in the table's arc buffer, which is then
+    /// refilled with `G_k`, so the build allocates no second graph.
+    fn build(sdn: &Sdn, net: &mut PricedNetwork, landmarks: usize) -> Self {
+        let c_max = net.c_max_where(sdn, &net.alive);
+        let (mode, price, alive) = (net.mode, &net.price, &net.alive);
+        net.arcs.refill(sdn.graph(), |e| {
+            let up = alive.get(e.index()).copied().unwrap_or(false);
+            up.then(|| link_weight(mode, price, sdn, e, c_max))
+        });
+        let oracle = LandmarkOracle::build(&net.arcs, landmarks, &mut DijkstraScratch::new());
+        net.filter(sdn);
+        let residual = net
+            .residual
+            .iter()
+            .zip(&net.alive)
+            .map(|(&r, &alive)| if alive { r } else { f64::NEG_INFINITY })
             .collect();
-        let csr = CsrGraph::from_edge_list(sdn.node_count(), &edges);
-        let residual = sdn
-            .graph()
-            .edges()
-            .map(|e| {
-                if alive(e.id) {
-                    sdn.residual_bandwidth(e.id)
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
-            .collect();
-        OracleSlot {
-            oracle: LandmarkOracle::build(&csr, landmarks, &mut DijkstraScratch::new()),
-            residual,
-        }
+        OracleSlot { oracle, residual }
     }
 
-    /// Whether the oracle's bounds are still admissible on `sdn`: no link
+    /// The full-scan form of [`OracleSlot::admissible_after`]: no link
     /// came back up and no residual grew since the build.
+    #[cfg(test)]
     fn admissible_on(&self, sdn: &Sdn) -> bool {
         self.residual.len() == sdn.link_count()
             && sdn
@@ -123,42 +300,21 @@ impl OracleSlot {
                 .zip(&self.residual)
                 .all(|(e, &r)| !sdn.is_link_alive(e.id) || sdn.residual_bandwidth(e.id) <= r)
     }
-}
 
-/// The `G_k` link weights for one network state: the exponential weight
-/// plus an infinitesimal unit-cost tiebreak normalised by the largest unit
-/// cost `c_max` among the priced links, or the plain unit cost in linear
-/// mode.
-struct EdgePricing {
-    mode: CostMode,
-    model: ExponentialCostModel,
-    c_max: f64,
-}
-
-impl EdgePricing {
-    /// Prices the links passing `keep` (they fix `c_max`).
-    fn new(sdn: &Sdn, mode: CostMode, mut keep: impl FnMut(EdgeId) -> bool) -> Self {
-        let c_max = sdn
-            .graph()
-            .edges()
-            .filter(|e| keep(e.id))
-            .map(|e| sdn.unit_bandwidth_cost(e.id))
-            .fold(sdn::COST_FLOOR, f64::max);
-        EdgePricing {
-            mode,
-            model: ExponentialCostModel::for_network(sdn),
-            c_max,
-        }
-    }
-
-    fn weight(&self, sdn: &Sdn, e: EdgeId) -> f64 {
-        match self.mode {
-            CostMode::Exponential => {
-                let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(e) / self.c_max;
-                self.model.edge_weight(sdn, e) + tiebreak
-            }
-            CostMode::Linear => LinearCostModel::new().edge_cost(sdn, e, 1.0),
-        }
+    /// Whether the oracle's bounds are still admissible after `net`'s
+    /// last refresh: no link that moved since the previous refresh came
+    /// back up or gained residual over the build. The links that did not
+    /// move passed this check at an earlier refresh, or the oracle was
+    /// built then, so checking the moved ones decides it for all.
+    fn admissible_after(&self, net: &PricedNetwork) -> bool {
+        self.residual.len() == net.residual.len()
+            && net.dirty.iter().all(|e| {
+                let i = e.index();
+                match (net.alive.get(i), net.residual.get(i), self.residual.get(i)) {
+                    (Some(&alive), Some(&now), Some(&built)) => !alive || now <= built,
+                    _ => false,
+                }
+            })
     }
 }
 
@@ -169,8 +325,7 @@ pub struct OnlineCp {
     rule: ThresholdRule,
     /// Landmarks for the candidate-scan oracle (0 = exact scan).
     oracle_landmarks: usize,
-    cache: Option<AdmissionGraphCache>,
-    cache_hits: u64,
+    priced: Option<PricedNetwork>,
     oracle: Option<OracleSlot>,
     oracle_builds: u64,
 }
@@ -233,20 +388,13 @@ impl OnlineCp {
         self.rule
     }
 
-    /// Admission-graph cache hits: requests whose `G_k` was reused from a
-    /// previous request with the same bandwidth against the same network
-    /// version.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// The [`Sdn::version`] the cached admission graph `G_k` was built at,
-    /// or `None` before the first admission. The invariant auditor compares
-    /// this against the live network right after an admission is served.
+    /// The [`Sdn::version`] the priced network behind `G_k` was last
+    /// refreshed at, or `None` before the first admission. The invariant
+    /// auditor compares this against the live network right after an
+    /// admission is served.
     #[must_use]
     pub fn cached_version(&self) -> Option<u64> {
-        self.cache.as_ref().map(|c| c.version)
+        self.priced.as_ref().map(|p| p.version)
     }
 
     /// Landmark-oracle builds so far: the first admission in oracle mode
@@ -258,41 +406,33 @@ impl OnlineCp {
         self.oracle_builds
     }
 
-    /// Returns (building if needed) the admission graph for bandwidth `b`
-    /// against the current residual state, plus the landmark oracle when
-    /// oracle mode is on.
-    fn admission_graph(&mut self, sdn: &Sdn, b: f64) -> (&FilteredGraph, Option<&LandmarkOracle>) {
-        let version = sdn.version();
-        let bandwidth_bits = b.to_bits();
-        let fresh = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.version == version && c.bandwidth_bits == bandwidth_bits);
-        if fresh {
-            self.cache_hits += 1;
-            telemetry::hit(telemetry::Counter::AdmissionCacheHits);
+    /// Refreshes the priced network for bandwidth `b` against the
+    /// current residual state, plus the landmark oracle when oracle mode
+    /// is on. A full repricing counts on `AdmissionCacheRebuilds`, an
+    /// incremental refresh on `AdmissionCacheHits`.
+    fn admission_graph(&mut self, sdn: &Sdn, b: f64) -> (&PricedNetwork, Option<&LandmarkOracle>) {
+        let (net, full) = PricedNetwork::refreshed(&mut self.priced, sdn, b, self.mode);
+        telemetry::hit(if full {
+            telemetry::Counter::AdmissionCacheRebuilds
         } else {
-            telemetry::hit(telemetry::Counter::AdmissionCacheRebuilds);
-            self.cache = Some(AdmissionGraphCache {
-                version,
-                bandwidth_bits,
-                graph: build_admission_graph(sdn, b, self.mode),
-            });
-        }
-        if self.oracle_landmarks > 0 && !self.oracle.as_ref().is_some_and(|o| o.admissible_on(sdn))
+            telemetry::Counter::AdmissionCacheHits
+        });
+        if self.oracle_landmarks > 0
+            && !self
+                .oracle
+                .as_ref()
+                .is_some_and(|o| o.admissible_after(net))
         {
-            self.oracle = Some(OracleSlot::build(sdn, self.mode, self.oracle_landmarks));
+            self.oracle = Some(OracleSlot::build(sdn, net, self.oracle_landmarks));
             self.oracle_builds += 1;
         }
-        let c = self.cache.as_ref().expect("cache was just filled"); // lint:allow(P1): the branch above just filled the cache
-        (&c.graph, self.oracle.as_ref().map(|o| &o.oracle))
+        (net, self.oracle.as_ref().map(|o| &o.oracle))
     }
 }
 
-/// Builds the admission graph `G_k` for bandwidth `b`: the alive,
-/// residual-feasible subgraph, its edges weighted under the chosen cost
-/// mode. Shared by `OnlineCp`'s cache and the `EmpPricing` strategy so the
-/// two graphs can never drift apart.
+/// Builds the admission graph `G_k` for bandwidth `b` from scratch: the
+/// alive, residual-feasible subgraph, its edges weighted under the chosen
+/// cost mode. The reference [`PricedNetwork`] must reproduce bit for bit.
 ///
 /// G_k keeps links with enough residual bandwidth for one traversal (a
 /// link on the send-back path needs 2·b_k; that stricter joint check
@@ -302,11 +442,29 @@ impl OnlineCp {
 /// arbitrarily (and wastefully); an infinitesimal unit-cost term breaks
 /// those ties toward cost-efficient trees without ever influencing a
 /// loaded decision or the admission thresholds.
-pub(crate) fn build_admission_graph(sdn: &Sdn, b: f64, mode: CostMode) -> FilteredGraph {
+#[cfg(test)]
+pub(crate) fn build_admission_graph(sdn: &Sdn, b: f64, mode: CostMode) -> netgraph::FilteredGraph {
     let keep =
         |e: EdgeId| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b;
-    let pricing = EdgePricing::new(sdn, mode, keep);
-    induced_subgraph_weighted(sdn.graph(), |_| true, keep, |e| pricing.weight(sdn, e.id))
+    let c_max = sdn
+        .graph()
+        .edges()
+        .filter(|e| keep(e.id))
+        .map(|e| sdn.unit_bandwidth_cost(e.id))
+        .fold(sdn::COST_FLOOR, f64::max);
+    let model = ExponentialCostModel::for_network(sdn);
+    netgraph::induced_subgraph_weighted(
+        sdn.graph(),
+        |_| true,
+        keep,
+        |e| match mode {
+            CostMode::Exponential => {
+                let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(e.id) / c_max;
+                model.edge_weight(sdn, e.id) + tiebreak
+            }
+            CostMode::Linear => LinearCostModel::new().edge_cost(sdn, e.id, 1.0),
+        },
+    )
 }
 
 /// One evaluated admission candidate.
@@ -350,26 +508,35 @@ pub(crate) struct AdmissionCtx<'a> {
     pub(crate) sigma: f64,
     pub(crate) mode: CostMode,
     pub(crate) rule: ThresholdRule,
-    /// `G_k`, its edges carrying the admission weights.
-    pub(crate) gk: &'a FilteredGraph,
+    /// `G_k`: shortest paths run on its arcs, and every link id they
+    /// return reads its weight here and its endpoints in `sdn`.
+    pub(crate) gk: &'a PricedNetwork,
 }
 
 impl AdmissionCtx<'_> {
+    /// Evaluates server `v` with admission weight `wv`. With a `bank` the
+    /// shortest-path trees are shared with the other candidates of the
+    /// scan; without one the candidate gets its own, as in the paper's
+    /// per-candidate KMB. Both give the same tree.
     pub(crate) fn evaluate(
         &self,
         v: NodeId,
         wv: f64,
-        bank: Option<&mut steiner::TerminalSptBank>,
+        bank: Option<&mut steiner::TerminalSptBank<'_>>,
     ) -> EvalOutcome {
-        let (sdn, request, weighted) = (self.sdn, self.request, self.gk.graph());
-        // Step 8: Steiner tree over {s_k, v} ∪ D_k in G_k. The banked
-        // variant reuses the anchor SPTs shared by every candidate and is
-        // byte-identical to the fresh construction.
+        let (sdn, request, gk) = (self.sdn, self.request, self.gk);
+        let weight = |e: EdgeId| gk.weight(e);
+        let topology = sdn.graph();
+        // Step 8: Steiner tree over {s_k, v} ∪ D_k in G_k, in parent link
+        // ids.
         let mut terminals = vec![request.source, v];
         terminals.extend(request.destinations.iter().copied());
         let tree = match bank {
-            Some(bank) => steiner::kmb_with_bank(weighted, &terminals, bank),
-            None => steiner::kmb(weighted, &terminals),
+            Some(bank) => steiner::kmb_with_bank(topology, weight, &terminals, bank),
+            None => {
+                let mut own = steiner::TerminalSptBank::new(gk.arcs(), terminals.clone());
+                steiner::kmb_with_bank(topology, weight, &terminals, &mut own)
+            }
         };
         let Some(tree) = tree else {
             return EvalOutcome::Skip;
@@ -379,17 +546,16 @@ impl AdmissionCtx<'_> {
         if self.mode == CostMode::Exponential {
             let violates = match self.rule {
                 ThresholdRule::TreeSum => tree_weight >= self.sigma,
-                ThresholdRule::PerEdge => tree
-                    .edges()
-                    .iter()
-                    .any(|&e| weighted.edge(e).weight >= self.sigma),
+                ThresholdRule::PerEdge => tree.edges().iter().any(|&e| weight(e) >= self.sigma),
             };
             if violates {
                 return EvalOutcome::ThresholdBlocked;
             }
         }
         // Steps 10-12: LCA send-back construction.
-        let Some(rooted) = tree.root_at(weighted, request.source) else {
+        let Some(rooted) =
+            RootedTree::from_weighted_edges(topology, tree.edges(), request.source, weight)
+        else {
             return EvalOutcome::Skip;
         };
         let lca = rooted.lca();
@@ -401,17 +567,16 @@ impl AdmissionCtx<'_> {
 
         let weight = tree_weight + wv + sendback_weight;
 
-        // Materialize the pseudo-multicast tree in original edge ids.
-        let ingress = rooted.path_between(request.source, v);
-        let ingress_ids: Vec<EdgeId> = self.gk.parent_edges(ingress.edges());
+        // Materialize the pseudo-multicast tree.
+        let ingress_ids: Vec<EdgeId> = rooted.path_between(request.source, v).edges().to_vec();
         let ingress_set: std::collections::BTreeSet<EdgeId> = ingress_ids.iter().copied().collect();
-        let all_tree: Vec<EdgeId> = self.gk.parent_edges(tree.edges());
+        let all_tree: &[EdgeId] = tree.edges();
         let distribution: Vec<EdgeId> = all_tree
             .iter()
             .copied()
             .filter(|e| !ingress_set.contains(e))
             .collect();
-        let extra: Vec<EdgeId> = self.gk.parent_edges(sendback.edges());
+        let extra: Vec<EdgeId> = sendback.edges().to_vec();
 
         let ingress_cost: f64 = ingress_ids
             .iter()
@@ -461,8 +626,8 @@ impl OnlineAlgorithm for OnlineCp {
 
         let mode = self.mode;
         let rule = self.rule;
-        let (gk, oracle) = self.admission_graph(sdn, b);
-        if gk.graph().edge_count() == 0 {
+        let (net, oracle) = self.admission_graph(sdn, b);
+        if net.is_empty() {
             telemetry::hit(telemetry::Counter::OnlineRejectedInfeasible);
             return None;
         }
@@ -474,7 +639,7 @@ impl OnlineAlgorithm for OnlineCp {
             sigma,
             mode,
             rule,
-            gk,
+            gk: net,
         };
 
         // Phase 1: cheap per-server checks. These always run over every
@@ -525,7 +690,7 @@ impl OnlineAlgorithm for OnlineCp {
             // re-run per server (the scan's dominant cost at 5k+ nodes).
             let mut bank_targets = terminals.clone();
             bank_targets.extend(survivors.iter().map(|s| s.v));
-            let mut bank = steiner::TerminalSptBank::new(bank_targets);
+            let mut bank = steiner::TerminalSptBank::new(ctx.gk.arcs(), bank_targets);
             survivors.sort_by(|x, y| {
                 x.lb.partial_cmp(&y.lb)
                     .unwrap_or(std::cmp::Ordering::Equal)
@@ -753,23 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_graph_cache_reused_across_rejections() {
-        let (mut sdn, v, e) = sendback_fixture();
-        // Leave too little bandwidth for any 100 Mbps request.
-        let mut pre = Allocation::new(RequestId(9));
-        pre.add_link(e[0], 950.0);
-        sdn.allocate(&pre).unwrap();
-        let mut algo = OnlineCp::new();
-        for i in 0..5 {
-            let req = MulticastRequest::new(RequestId(i), v[0], vec![v[3]], 100.0, chain());
-            assert!(algo.admit(&sdn, &req).is_none());
-        }
-        // First rejection builds G_k; the other four reuse it (the network
-        // version never moves on rejection).
-        assert_eq!(algo.cache_hits(), 4);
-    }
-
-    #[test]
     fn caching_is_transparent_to_decisions() {
         // A warm cache must admit exactly what a cold one does.
         let (sdn0, v, _) = sendback_fixture();
@@ -943,6 +1091,59 @@ mod tests {
         expect_one_rebuild("reset", &mut algo, &mut sdn);
     }
 
+    #[test]
+    fn allocation_or_rejection_reprices_only_touched_links() {
+        let (mut sdn, nodes) = ring_fixture();
+        let links: Vec<EdgeId> = sdn.graph().edges().map(|e| e.id).collect();
+        let mut algo = OnlineCp::new();
+        let weights = |algo: &OnlineCp| -> Vec<u64> {
+            let net = algo.priced.as_ref().expect("priced after an admission");
+            net.weight.iter().map(|w| w.to_bits()).collect()
+        };
+        let dirty = |algo: &OnlineCp| algo.priced.as_ref().map(|p| p.dirty.clone());
+
+        let first = ring_request(&nodes, 1).expect("distinct endpoints");
+        let tree = algo.admit(&sdn, &first).expect("a fresh ring admits");
+        let committed = tree.allocation(&first);
+        sdn.allocate(&committed).unwrap();
+        let before = weights(&algo);
+
+        // Same bandwidth, so `c_max` holds: exactly the committed tree's
+        // links are repriced, and no other weight moves.
+        let second = ring_request(&nodes, 2).expect("distinct endpoints");
+        assert_eq!(second.bandwidth, first.bandwidth);
+        let _ = algo.admit(&sdn, &second);
+        let after = weights(&algo);
+        let touched: Vec<EdgeId> = links
+            .iter()
+            .copied()
+            .filter(|&e| committed.link_load(e) > 0.0)
+            .collect();
+        let moved: Vec<EdgeId> = links
+            .iter()
+            .copied()
+            .filter(|e| before[e.index()] != after[e.index()])
+            .collect();
+        assert!(!touched.is_empty());
+        assert_eq!(moved, touched);
+        assert_eq!(dirty(&algo), Some(touched));
+        assert_eq!(algo.cached_version(), Some(sdn.version()));
+
+        // With every server full, requests are rejected; a rejection, like
+        // a commit that loads only servers, reprices no link.
+        let mut fill = Allocation::new(RequestId(99));
+        for &v in sdn.servers() {
+            fill.add_server(v, sdn.residual_computing(v).unwrap());
+        }
+        sdn.allocate(&fill).unwrap();
+        for i in 3..6 {
+            let req = ring_request(&nodes, i).expect("distinct endpoints");
+            assert!(algo.admit(&sdn, &req).is_none());
+            assert_eq!(dirty(&algo), Some(Vec::new()));
+            assert_eq!(weights(&algo), after);
+        }
+    }
+
     /// Small ring-plus-chords network for the oracle property sweep:
     /// `n` nodes, a server on every third, chords `(u, v, unit cost)`.
     fn arb_net(n: usize, chords: &[(usize, usize, u32)]) -> Sdn {
@@ -1009,7 +1210,9 @@ mod tests {
                 }
             }
             sdn.fail_link(EdgeId::new(down % m)).unwrap();
-            let mut slot = OracleSlot::build(&sdn, mode, 3);
+            let mut net = PricedNetwork::new(&sdn, mode);
+            net.refresh(&sdn, 1.0);
+            let mut slot = OracleSlot::build(&sdn, &mut net, 3);
             for (i, &(kind, idx, amount)) in steps.iter().enumerate() {
                 let e = EdgeId::new(idx % m);
                 let weights_only_rise = kind < 4;
@@ -1027,10 +1230,15 @@ mod tests {
                     4 if !held.is_empty() => sdn.release(&held.remove(idx % held.len())).unwrap(),
                     _ => drop(sdn.recover_link(e).unwrap()),
                 }
+                // The check over the links the refresh saw move must
+                // agree with a full scan of the network.
+                net.refresh(&sdn, 1.0);
+                let kept = slot.admissible_after(&net);
+                proptest::prop_assert_eq!(kept, slot.admissible_on(&sdn), "step {}", i);
                 if weights_only_rise {
-                    proptest::prop_assert!(slot.admissible_on(&sdn), "step {i} broke the reuse rule");
-                } else if !slot.admissible_on(&sdn) {
-                    slot = OracleSlot::build(&sdn, mode, 3);
+                    proptest::prop_assert!(kept, "step {i} broke the reuse rule");
+                } else if !kept {
+                    slot = OracleSlot::build(&sdn, &mut net, 3);
                 }
                 for b in [1.0, 150.0, 600.0] {
                     let gk = build_admission_graph(&sdn, b, mode);
@@ -1045,6 +1253,84 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// One priced network kept across random allocations, releases,
+        /// link and server failures, recoveries and resets, refreshed at
+        /// random bandwidths (some above every residual, some between the
+        /// residuals of the costliest links, so `c_max` flips), filters to
+        /// exactly the `G_k` a fresh build gives: the same arcs per node in
+        /// the same order, and bit-equal weights.
+        #[test]
+        fn priced_network_matches_rebuilt_gk(
+            n in 6usize..16,
+            chords in proptest::collection::vec((0usize..16, 0usize..16, 1u32..9), 0..12),
+            steps in proptest::collection::vec(
+                (0u8..8, 0usize..64, 1u32..1000, 0usize..6),
+                1..24,
+            ),
+            linear in proptest::prelude::any::<bool>(),
+        ) {
+            let mut sdn = arb_net(n, &chords);
+            let mode = if linear { CostMode::Linear } else { CostMode::Exponential };
+            let m = sdn.link_count();
+            let mut net: Option<PricedNetwork> = None;
+            let mut held: Vec<Allocation> = Vec::new();
+            for (i, &(kind, idx, amount, bi)) in steps.iter().enumerate() {
+                let e = EdgeId::new(idx % m);
+                match kind {
+                    0..=2 => {
+                        let mut alloc = Allocation::new(RequestId(i as u64));
+                        for j in 0..3 {
+                            alloc.add_link(EdgeId::new((idx + j * 5) % m), f64::from(amount));
+                        }
+                        if sdn.allocate(&alloc).is_ok() {
+                            held.push(alloc);
+                        }
+                    }
+                    3 => drop(sdn.fail_link(e).unwrap()),
+                    4 => drop(sdn.fail_server(sdn.servers()[idx % sdn.servers().len()]).unwrap()),
+                    5 if !held.is_empty() => sdn.release(&held.remove(idx % held.len())).unwrap(),
+                    6 => drop(sdn.recover_link(e).unwrap()),
+                    _ => {
+                        sdn.reset();
+                        held.clear();
+                    }
+                }
+                let b = [1.0, 250.0, 500.0, 999.0, 1000.0, 1500.0][bi];
+                let (table, _) = PricedNetwork::refreshed(&mut net, &sdn, b, mode);
+                let reference = build_admission_graph(&sdn, b, mode);
+                proptest::prop_assert_eq!(table.is_empty(), reference.graph().edge_count() == 0);
+                proptest::prop_assert_eq!(table.version, sdn.version());
+                for v in sdn.graph().nodes() {
+                    let got: Vec<(NodeId, EdgeId, u64)> = table
+                        .arcs
+                        .arcs(v)
+                        .map(|(head, id, w)| (head, id, w.to_bits()))
+                        .collect();
+                    let want: Vec<(NodeId, EdgeId, u64)> = reference
+                        .graph()
+                        .neighbors(v)
+                        .iter()
+                        .map(|nb| {
+                            let w = reference.graph().edge(nb.edge).weight;
+                            (nb.node, reference.parent_edge(nb.edge), w.to_bits())
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(got, want, "step {}, b = {}, node {}", i, b, v);
+                }
+                for er in reference.graph().edges() {
+                    let parent = reference.parent_edge(er.id);
+                    proptest::prop_assert_eq!(
+                        table.weight[parent.index()].to_bits(),
+                        er.weight.to_bits()
+                    );
                 }
             }
         }

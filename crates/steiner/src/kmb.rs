@@ -15,7 +15,10 @@
 #![allow(clippy::needless_range_loop)] // paired-index loops over parallel arrays
 
 use crate::{prune_non_terminal_leaves, SteinerTree};
-use netgraph::{dijkstra_with_targets, kruskal, Graph, NodeId, ShortestPathTree};
+use netgraph::{
+    dijkstra_csr_with_targets, dijkstra_with_targets, kruskal, CsrGraph, DijkstraScratch, EdgeId,
+    Graph, NodeId, ShortestPathTree,
+};
 
 /// Computes an approximate minimum Steiner tree spanning `terminals`.
 ///
@@ -38,7 +41,7 @@ pub fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
         .map(|&t| dijkstra_with_targets(g, t, &uniq))
         .collect();
     let spt_refs: Vec<&ShortestPathTree> = spts.iter().collect();
-    kmb_core(g, uniq, &spt_refs)
+    kmb_core(g, |e| g.edge(e).weight, uniq, &spt_refs)
 }
 
 /// Shortest-path trees from terminals, computed once and shared across
@@ -46,27 +49,36 @@ pub fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
 /// terminal sets overlap (e.g. `Online_CP` evaluating many servers
 /// against one fixed `{source} ∪ destinations` anchor set).
 ///
-/// Every tree is computed by `dijkstra_with_targets` against the bank's
-/// full `targets` superset. Dijkstra settles nodes in a deterministic
+/// The trees run on the bank's `arcs`, a [`CsrGraph`] over the nodes of
+/// the graph later passed to [`kmb_with_bank`], whose arcs carry that
+/// graph's edge ids and the weights [`kmb_with_bank`] is given: the whole
+/// graph, or a re-weighted subgraph of it laid out by
+/// [`CsrGraph::refill`]. Every tree is computed by
+/// `dijkstra_csr_with_targets` against the bank's full `targets`
+/// superset. Dijkstra settles nodes in a deterministic
 /// `(distance, node id)` order that does not depend on the target set, so
 /// distances *and* predecessor chains to any node of `targets` are
 /// bit-identical to what a per-call Dijkstra over a terminal subset would
 /// produce — which is what makes [`kmb_with_bank`] byte-identical to
-/// [`kmb`].
+/// [`kmb`] on the graph the arcs describe.
 #[derive(Debug, Clone)]
-pub struct TerminalSptBank {
+pub struct TerminalSptBank<'a> {
+    arcs: &'a CsrGraph,
     targets: Vec<NodeId>,
     entries: Vec<(NodeId, ShortestPathTree)>,
+    scratch: DijkstraScratch,
 }
 
-impl TerminalSptBank {
-    /// Creates an empty bank whose trees will be valid for any terminal
-    /// drawn from `targets`.
+impl<'a> TerminalSptBank<'a> {
+    /// Creates an empty bank over `arcs` whose trees will be valid for
+    /// any terminal drawn from `targets`.
     #[must_use]
-    pub fn new(targets: Vec<NodeId>) -> Self {
+    pub fn new(arcs: &'a CsrGraph, targets: Vec<NodeId>) -> Self {
         TerminalSptBank {
+            arcs,
             targets,
             entries: Vec::new(),
+            scratch: DijkstraScratch::new(),
         }
     }
 
@@ -90,18 +102,22 @@ impl TerminalSptBank {
 
     /// Index of the tree rooted at `t`, computing it on first use. The
     /// linear probe is fine: banks hold tens of entries, not thousands.
-    fn spt_index(&mut self, g: &Graph, t: NodeId) -> usize {
+    fn spt_index(&mut self, t: NodeId) -> usize {
         if let Some(pos) = self.entries.iter().position(|(root, _)| *root == t) {
             return pos;
         }
-        self.entries
-            .push((t, dijkstra_with_targets(g, t, &self.targets)));
+        let spt = dijkstra_csr_with_targets(self.arcs, t, &self.targets, &mut self.scratch);
+        self.entries.push((t, spt));
         self.entries.len() - 1
     }
 }
 
 /// [`kmb`] with the step-1 shortest-path trees drawn from (and cached in)
-/// `bank` instead of recomputed per call. Byte-identical to [`kmb`] for
+/// `bank` instead of recomputed per call. `g` supplies the nodes and the
+/// endpoints of the edge ids the bank's arcs carry, `weight` their
+/// weights (those the arcs carry), and the tree is returned in `g`'s edge
+/// ids with its cost under `weight`. Byte-identical to [`kmb`] on the
+/// graph the bank's arcs describe, up to that graph's edge numbering, for
 /// every terminal set drawn from `bank.targets()` — see
 /// [`TerminalSptBank`] for why.
 ///
@@ -113,8 +129,9 @@ impl TerminalSptBank {
 #[must_use]
 pub fn kmb_with_bank(
     g: &Graph,
+    weight: impl Fn(EdgeId) -> f64,
     terminals: &[NodeId],
-    bank: &mut TerminalSptBank,
+    bank: &mut TerminalSptBank<'_>,
 ) -> Option<SteinerTree> {
     let uniq = dedup_terminals(g, terminals)?;
     if uniq.len() == 1 {
@@ -126,7 +143,7 @@ pub fn kmb_with_bank(
             "terminal {t} is outside the bank's target set"
         );
     }
-    let indices: Vec<usize> = uniq.iter().map(|&t| bank.spt_index(g, t)).collect();
+    let indices: Vec<usize> = uniq.iter().map(|&t| bank.spt_index(t)).collect();
     let spt_refs: Vec<&ShortestPathTree> = indices
         .iter()
         .map(|&i| {
@@ -134,7 +151,7 @@ pub fn kmb_with_bank(
             spt
         })
         .collect();
-    kmb_core(g, uniq, &spt_refs)
+    kmb_core(g, weight, uniq, &spt_refs)
 }
 
 /// Deduplicates terminals preserving caller order; `None` when empty or
@@ -161,8 +178,13 @@ fn dedup_terminals(g: &Graph, terminals: &[NodeId]) -> Option<Vec<NodeId>> {
 
 /// Steps 1b–5 of KMB, shared by [`kmb`] and [`kmb_with_bank`]:
 /// `spts[i]` must be a shortest-path tree rooted at `uniq[i]` with every
-/// terminal of `uniq` settled.
-fn kmb_core(g: &Graph, uniq: Vec<NodeId>, spts: &[&ShortestPathTree]) -> Option<SteinerTree> {
+/// terminal of `uniq` settled, under the edge weights `weight`.
+fn kmb_core(
+    g: &Graph,
+    weight: impl Fn(EdgeId) -> f64,
+    uniq: Vec<NodeId>,
+    spts: &[&ShortestPathTree],
+) -> Option<SteinerTree> {
     // Metric closure as a little complete graph whose node i = uniq[i].
     let t = uniq.len();
     let mut closure = Graph::with_nodes(t);
@@ -179,9 +201,9 @@ fn kmb_core(g: &Graph, uniq: Vec<NodeId>, spts: &[&ShortestPathTree]) -> Option<
     let mst1 = kruskal(&closure);
     debug_assert!(mst1.is_spanning_tree());
 
-    // Step 3: expand closure edges into shortest paths; collect edge set
-    // as a bool vector keyed by the dense edge ids.
-    let mut in_subgraph = vec![false; g.edge_count()];
+    // Step 3: expand closure edges into shortest paths, collecting their
+    // edges.
+    let mut path_edges: Vec<EdgeId> = Vec::new();
     for &ce in &mst1.edges {
         let cer = closure.edge(ce);
         let i = cer.u.index();
@@ -189,29 +211,110 @@ fn kmb_core(g: &Graph, uniq: Vec<NodeId>, spts: &[&ShortestPathTree]) -> Option<
         let path = spts[i]
             .path_to(uniq[j.index()])
             .expect("closure edge implies reachability"); // lint:allow(P1): closure edges join mutually reachable terminals
-        for &e in path.edges() {
-            in_subgraph[e.index()] = true;
-        }
+        path_edges.extend_from_slice(path.edges());
     }
 
-    // Step 4: MST of the expanded subgraph. Build a filtered view containing
-    // exactly the collected edges.
-    let sub = netgraph::induced_subgraph(g, |_| true, |e| in_subgraph[e.index()]);
-    let mst2 = kruskal(sub.graph());
-    let tree_edges = sub.parent_edges(&mst2.edges);
+    // Step 4: MST of the expanded subgraph.
+    let tree_edges = spanning_forest_of(g, &weight, path_edges);
 
-    // Step 5: prune non-terminal leaves.
-    let (kept, cost) = prune_non_terminal_leaves(g, &tree_edges, &uniq);
+    // Step 5: prune non-terminal leaves (`g` may not carry `weight`, so
+    // the kept edges are summed here, in the order the prune would).
+    let (kept, _) = prune_non_terminal_leaves(g, &tree_edges, &uniq);
+    let cost = kept.iter().map(|&e| weight(e)).sum();
 
     let tree = SteinerTree::from_parts(uniq, kept, cost);
-    debug_assert!(tree.validate(g).is_ok(), "KMB produced an invalid tree");
+    debug_assert!(
+        tree.validate_weighted(g, &weight).is_ok(),
+        "KMB produced an invalid tree"
+    );
     Some(tree)
+}
+
+/// Step 4 of KMB: a minimum spanning forest of the subgraph of `g`
+/// formed by `edges` (any order, duplicates allowed) under `weight`, as
+/// edge ids of `g` in Kruskal's selection order.
+///
+/// Kruskal sorts its input stably by weight, so ties fall to the input
+/// order. Feeding it the distinct edges in ascending id order therefore
+/// selects exactly what it selects on the subgraph of `g` induced by
+/// these edges (whose edges also come in ascending parent id order). The
+/// union-find only decides connectivity, so renumbering the touched
+/// nodes densely changes nothing. The cost is `O(k log k)` in the `k`
+/// path edges, not `O(n + m)` in the graph.
+fn spanning_forest_of(
+    g: &Graph,
+    weight: impl Fn(EdgeId) -> f64,
+    mut edges: Vec<EdgeId>,
+) -> Vec<EdgeId> {
+    edges.sort_unstable();
+    edges.dedup();
+    let mut nodes: Vec<NodeId> = edges
+        .iter()
+        .flat_map(|&e| {
+            let er = g.edge(e);
+            [er.u, er.v]
+        })
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let local = |n: NodeId| NodeId::new(nodes.partition_point(|&x| x < n));
+    let mut sub = Graph::with_nodes(nodes.len());
+    for &e in &edges {
+        let er = g.edge(e);
+        // Endpoints are distinct nodes of `sub` and the weight is valid in
+        // `g`, so the insert cannot fail; ids stay aligned with `edges`.
+        let added = sub.add_edge(local(er.u), local(er.v), weight(e));
+        debug_assert!(added.is_ok());
+    }
+    kruskal(&sub)
+        .edges
+        .iter()
+        .filter_map(|se| edges.get(se.index()).copied())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::{EdgeId, Graph};
+    use netgraph::{CsrGraph, EdgeId, Graph};
+
+    /// Step 4 as it was built before [`spanning_forest_of`]: a bool mask
+    /// over every edge of `g`, the induced subgraph over all of `g`, and
+    /// Kruskal on that.
+    fn spanning_forest_reference(g: &Graph, edges: &[EdgeId]) -> Vec<EdgeId> {
+        let mut in_subgraph = vec![false; g.edge_count()];
+        for &e in edges {
+            in_subgraph[e.index()] = true;
+        }
+        let sub = netgraph::induced_subgraph(g, |_| true, |e| in_subgraph[e.index()]);
+        sub.parent_edges(&kruskal(sub.graph()).edges)
+    }
+
+    proptest::proptest! {
+        /// The path-edge construction selects the same forest, in the same
+        /// order, as the whole-graph one, on multigraphs whose weights tie
+        /// heavily and for edge lists given in any order with repeats.
+        #[test]
+        fn spanning_forest_matches_whole_graph_construction(
+            n in 2usize..12,
+            raw in proptest::collection::vec((0usize..12, 0usize..12, 0u8..3), 1..40),
+            picks in proptest::collection::vec(0usize..40, 0..60),
+        ) {
+            let mut g = Graph::with_nodes(n);
+            for &(u, v, w) in &raw {
+                if u % n != v % n {
+                    g.add_edge(NodeId::new(u % n), NodeId::new(v % n), f64::from(w)).unwrap();
+                }
+            }
+            proptest::prop_assume!(g.edge_count() > 0);
+            let edges: Vec<EdgeId> =
+                picks.iter().map(|&i| EdgeId::new(i % g.edge_count())).collect();
+            proptest::prop_assert_eq!(
+                spanning_forest_of(&g, |e| g.edge(e).weight, edges.clone()),
+                spanning_forest_reference(&g, &edges)
+            );
+        }
+    }
 
     /// The canonical KMB paper example shape: optimal Steiner tree uses a
     /// central Steiner node.
@@ -337,12 +440,14 @@ mod tests {
         let extras: Vec<NodeId> = (0..24).step_by(2).map(|i| v[i]).collect();
         let mut targets = anchors.to_vec();
         targets.extend(&extras);
-        let mut bank = TerminalSptBank::new(targets);
+        let arcs = CsrGraph::from_graph(&g);
+        let mut bank = TerminalSptBank::new(&arcs, targets);
         for &x in &extras {
             let mut terminals = anchors.to_vec();
             terminals.push(x);
             let fresh = kmb(&g, &terminals).expect("connected");
-            let banked = kmb_with_bank(&g, &terminals, &mut bank).expect("connected");
+            let banked =
+                kmb_with_bank(&g, |e| g.edge(e).weight, &terminals, &mut bank).expect("connected");
             assert_eq!(fresh.terminals(), banked.terminals());
             assert_eq!(fresh.edges(), banked.edges());
             assert!((fresh.cost() - banked.cost()).abs() == 0.0, "cost drifted");
@@ -358,8 +463,39 @@ mod tests {
         let a = g.add_node();
         let b = g.add_node();
         g.add_edge(a, b, 1.0).unwrap();
-        let mut bank = TerminalSptBank::new(vec![a]);
-        let _ = kmb_with_bank(&g, &[a, b], &mut bank);
+        let arcs = CsrGraph::from_graph(&g);
+        let mut bank = TerminalSptBank::new(&arcs, vec![a]);
+        let _ = kmb_with_bank(&g, |e| g.edge(e).weight, &[a, b], &mut bank);
+    }
+
+    #[test]
+    fn bank_over_filtered_arcs_matches_kmb_on_the_subgraph() {
+        // The bank runs on a re-weighted subset of `g`'s arcs and answers
+        // in `g`'s edge ids; the tree must be the one `kmb` builds on the
+        // induced, re-weighted subgraph, mapped back to parent ids.
+        let mut g = Graph::new();
+        let v: Vec<NodeId> = (0..20).map(|_| g.add_node()).collect();
+        for i in 0..20 {
+            g.add_edge(v[i], v[(i + 1) % 20], 1.0 + (i % 3) as f64)
+                .unwrap();
+            g.add_edge(v[i], v[(i + 7) % 20], 2.0).unwrap();
+        }
+        let keep = |e: EdgeId| e.index() % 5 != 2;
+        let weight = |e: EdgeId| 0.5 * (e.index() % 4) as f64;
+        let sub = netgraph::induced_subgraph_weighted(&g, |_| true, keep, |er| weight(er.id));
+        let mut arcs = CsrGraph::from_graph(&g);
+        arcs.refill(&g, |e| keep(e).then(|| weight(e)));
+        for extra in [v[3], v[9], v[14]] {
+            let terminals = [v[0], v[6], extra];
+            let mut bank = TerminalSptBank::new(&arcs, terminals.to_vec());
+            let banked = kmb_with_bank(&g, weight, &terminals, &mut bank);
+            let fresh = kmb(sub.graph(), &terminals);
+            let (Some(banked), Some(fresh)) = (banked, fresh) else {
+                panic!("fixture is connected");
+            };
+            assert_eq!(banked.edges(), sub.parent_edges(fresh.edges()));
+            assert_eq!(banked.cost().to_bits(), fresh.cost().to_bits());
+        }
     }
 
     #[test]

@@ -96,6 +96,16 @@ impl SteinerTree {
     /// Returns `Err` with a human-readable description on violation; meant
     /// for tests and debug assertions.
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
+        self.validate_weighted(g, |e| g.edge(e).weight)
+    }
+
+    /// [`SteinerTree::validate`] for a tree built under weights
+    /// `weight(e)` rather than `g`'s.
+    pub(crate) fn validate_weighted(
+        &self,
+        g: &Graph,
+        weight: impl Fn(EdgeId) -> f64,
+    ) -> Result<(), String> {
         if self.terminals.is_empty() {
             return Err("steiner tree has no terminals".into());
         }
@@ -108,7 +118,7 @@ impl SteinerTree {
                 return Err(format!("terminal {t} not spanned"));
             }
         }
-        let recomputed: f64 = self.edges.iter().map(|&e| g.edge(e).weight).sum();
+        let recomputed: f64 = self.edges.iter().map(|&e| weight(e)).sum();
         if (recomputed - self.cost).abs() > 1e-6 * (1.0 + recomputed.abs()) {
             return Err(format!(
                 "stored cost {} disagrees with recomputed {}",

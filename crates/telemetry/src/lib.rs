@@ -96,9 +96,12 @@ pub enum Counter {
     /// Rejections by the Even–Medina–Patt-Shamir-style strategy because
     /// the cheapest embedding was priced above the request's benefit.
     OnlinePriceRejections,
-    /// Admission-graph cache hits inside `OnlineCp`.
+    /// `OnlineCp` admissions whose priced network was refreshed
+    /// incrementally: only links whose residual or liveness moved were
+    /// repriced.
     AdmissionCacheHits,
-    /// Admission-graph rebuilds inside `OnlineCp`.
+    /// `OnlineCp` admissions that repriced every link of the priced
+    /// network: its first build, or a new tiebreak normaliser `c_max`.
     AdmissionCacheRebuilds,
     /// Sessions departed and released back to the substrate.
     SessionsDeparted,
